@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-race test-short vet check fuzz-lockmgr fuzz-contention fuzz-contention-race fuzz-codec fuzz-lazy fuzz-snapshot fuzz-snapshot-race fuzz-adaptive fuzz-adaptive-race fuzz-2pc fuzz-2pc-race chaos chaos-race chaos-crash chaos-2pc bench bench-micro bench-json bench-readmix bench-adaptive bench-twopc
+.PHONY: build test test-race test-short vet check stress fuzz-lockmgr fuzz-lockmap fuzz-contention fuzz-contention-race fuzz-codec fuzz-lazy fuzz-snapshot fuzz-snapshot-race fuzz-adaptive fuzz-adaptive-race fuzz-2pc fuzz-2pc-race chaos chaos-race chaos-crash chaos-2pc bench bench-micro bench-json bench-readmix bench-adaptive bench-twopc
 
 build:
 	$(GO) build ./...
@@ -24,11 +24,25 @@ vet:
 # contention policies against the timeout oracle. Go allows one -fuzz pattern
 # per invocation, hence separate targets; fuzz-lazy differentially checks
 # the lazy discipline (deferral + commit-time fusion) against the eager
-# oracle on identical op programs.
-check: build vet test test-race fuzz-lockmgr fuzz-contention fuzz-lazy fuzz-snapshot fuzz-adaptive fuzz-2pc
+# oracle on identical op programs; fuzz-lockmap checks LockMap's key table
+# against a plain map across stripe counts and table doublings.
+check: build vet test test-race fuzz-lockmgr fuzz-lockmap fuzz-contention fuzz-lazy fuzz-snapshot fuzz-adaptive fuzz-2pc
 
 fuzz-lockmgr:
 	$(GO) test -run NONE -fuzz FuzzStripedRangeLockEquivalence -fuzztime 10s ./internal/lockmgr/
+
+fuzz-lockmap:
+	$(GO) test -run NONE -fuzz FuzzLockMapEquivalence -fuzztime 10s ./internal/lockmgr/
+
+# Repeat runs of tests that were once flaky, and of the LockMap
+# installer/reader race across table doublings, to catch a rare failure
+# before it turns tier-1 intermittently red. The nightly robustness job runs
+# this.
+STRESS_CORE := '^(TestPoolConcurrentNoDoubleHandout|TestOrderedSetAddRemoveAllocsAtMostOnePerOp)$$'
+stress:
+	$(GO) test -count=500 -run $(STRESS_CORE) ./internal/core/
+	$(GO) test -race -count=500 -run $(STRESS_CORE) ./internal/core/
+	$(GO) test -race -count=50 -run '^TestLockMapInstallRaceAcrossGrows$$' ./internal/lockmgr/
 
 fuzz-contention:
 	$(GO) test -run NONE -fuzz FuzzContentionPolicies -fuzztime 10s ./internal/lockmgr/

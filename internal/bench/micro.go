@@ -21,9 +21,10 @@ import (
 // variants run back to back in the same process:
 //
 //   - "legacy": Config.LegacyHotPath (fresh, always-mutexed Tx per attempt)
-//     plus lockmgr's mutex-guarded LockMap reads — the runtime's behaviour
-//     before the hot-path overhaul, kept callable exactly so this harness
-//     can record the baseline in the same run it records the fast path.
+//     — the transaction lifecycle before the hot-path overhaul, kept
+//     callable so this harness can record that baseline in the same run it
+//     records the fast path. (BENCH_PR2.json's legacy column also reflects
+//     the mutex-guarded LockMap reads of that time, since removed.)
 //   - "fastpath": the production configuration.
 //
 // The workloads are deterministic: keys come from a fixed multiplicative
@@ -212,8 +213,6 @@ func microCases() []microCase {
 func runMicroCell(c microCase, variant string, goroutines, totalOps int) MicroResult {
 	legacy := variant == "legacy"
 	cfg := stm.Config{LockTimeout: 100 * time.Millisecond, LegacyHotPath: legacy}
-	lockmgr.SetLegacyMapReads(legacy)
-	defer lockmgr.SetLegacyMapReads(false)
 
 	op := c.make(cfg, goroutines)
 	opsPerG := totalOps / goroutines

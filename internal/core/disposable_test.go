@@ -244,10 +244,13 @@ func TestPoolConcurrentNoDoubleHandout(t *testing.T) {
 				inUse[v] = true
 				mu.Unlock()
 
-				stm.MustAtomicOn(sys, func(tx *stm.Tx) { p.Free(tx, v) })
+				// Clear the mark before freeing: Free's commit handler puts
+				// v back before MustAtomicOn returns, so another goroutine
+				// may legitimately Alloc it before this one runs again.
 				mu.Lock()
 				delete(inUse, v)
 				mu.Unlock()
+				stm.MustAtomicOn(sys, func(tx *stm.Tx) { p.Free(tx, v) })
 			}
 		}()
 	}

@@ -3,24 +3,12 @@ package lockmgr
 import (
 	"hash/maphash"
 	"sync"
-	"sync/atomic"
 
 	"tboost/internal/stm"
 )
 
 // DefaultStripes is the stripe count used by NewLockMap.
 const DefaultStripes = 64
-
-// legacyMapReads forces LockMap.Get back onto the mutex-guarded read path.
-// It exists so the benchmark harness can measure the lock-free read path
-// against the pre-optimization behaviour in the same run; see
-// SetLegacyMapReads. Never enabled in production use.
-var legacyMapReads atomic.Bool
-
-// SetLegacyMapReads toggles the benchmark-only mutex-guarded LockMap read
-// path. It is not meant to be flipped while transactions are running: the
-// knob selects which Get implementation the whole process uses.
-func SetLegacyMapReads(on bool) { legacyMapReads.Store(on) }
 
 // LockMap associates an abstract OwnerLock with each key on demand — the
 // paper's LockKey class. It is a striped concurrent hash map with
@@ -29,10 +17,12 @@ func SetLegacyMapReads(on bool) { legacyMapReads.Store(on) }
 // ConcurrentHashMap).
 //
 // The steady state of a boosted workload is Get on keys whose locks are
-// already installed, so that path is lock-free: each stripe publishes an
-// immutable map through an atomic pointer, and readers only dereference it.
-// Installing a missing lock copies the stripe's map and swaps the pointer
-// under the stripe mutex — linear per install, but each key pays it once.
+// already installed, so that path is lock-free: Get hashes the key once,
+// picks the stripe from the hash's high half and probes the stripe's
+// keyTable with the whole hash. Installing a missing lock fills a slot in
+// place under the stripe mutex, doubling the stripe's table when it passes
+// 3/4 full — amortized O(1) per install, like the paper's putIfAbsent on
+// ConcurrentHashMap (see keyTable).
 //
 // Key-based locking may serialize some commuting calls (two add(x) calls
 // when x is present), but as the paper notes it provides enough concurrency
@@ -45,9 +35,9 @@ type LockMap[K comparable] struct {
 }
 
 type lockStripe[K comparable] struct {
-	cur atomic.Pointer[map[K]*OwnerLock] // immutable snapshot; swapped on install
-	mu  sync.Mutex                       // serializes installs
-	_   [48]byte                         // pad to reduce false sharing between stripes
+	keys keyTable[K]
+	mu   sync.Mutex // serializes installs
+	_    [40]byte   // pad to reduce false sharing between stripes
 }
 
 // NewLockMap returns a LockMap with DefaultStripes stripes.
@@ -75,9 +65,9 @@ func NewLockMapPolicy[K comparable](n int, p ContentionPolicy) *LockMap[K] {
 		stripes: make([]lockStripe[K], n),
 		policy:  p,
 	}
-	empty := make(map[K]*OwnerLock)
+	empty := newEmptyKeySlots[K]()
 	for i := range m.stripes {
-		m.stripes[i].cur.Store(&empty) // shared: snapshots are never mutated
+		m.stripes[i].keys.cur.Store(empty) // shared until the stripe's first install
 	}
 	return m
 }
@@ -93,55 +83,24 @@ func (m *LockMap[K]) SetMeter(cm *ContentionMeter) {
 	for i := range m.stripes {
 		s := &m.stripes[i]
 		s.mu.Lock()
-		for _, l := range *s.cur.Load() {
-			l.SetMeter(cm)
-		}
+		s.keys.eachLocked(func(l *OwnerLock) { l.SetMeter(cm) })
 		s.mu.Unlock()
 	}
-}
-
-func (m *LockMap[K]) stripe(key K) *lockStripe[K] {
-	h := maphash.Comparable(m.seed, key)
-	return &m.stripes[h%uint64(len(m.stripes))]
 }
 
 // Get returns the abstract lock for key, creating it if absent. The hit
 // path — every access after a key's first — takes no locks.
 func (m *LockMap[K]) Get(key K) *OwnerLock {
-	s := m.stripe(key)
-	if legacyMapReads.Load() {
-		s.mu.Lock()
-		l, ok := (*s.cur.Load())[key]
-		s.mu.Unlock()
-		if ok {
-			return l
-		}
-	} else if l, ok := (*s.cur.Load())[key]; ok {
+	h := maphash.Comparable(m.seed, key)
+	// The stripe comes from the high half (multiply-shift onto [0, n)); the
+	// table indexes with the low bits, which stay uniform within a stripe.
+	s := &m.stripes[(h>>32)*uint64(len(m.stripes))>>32]
+	if l := s.keys.get(key, h); l != nil {
 		return l
 	}
-	return s.install(key, m.policy, m.meter)
-}
-
-// install publishes a lock for a key not present in the stripe's snapshot:
-// copy-on-write under the stripe mutex, rechecking after locking because a
-// racing installer may have won.
-func (s *lockStripe[K]) install(key K, p Policy, cm *ContentionMeter) *OwnerLock {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	old := *s.cur.Load()
-	if l, ok := old[key]; ok {
-		return l
-	}
-	next := make(map[K]*OwnerLock, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	l := NewOwnerLockPolicy(p)
-	if cm != nil {
-		l.SetMeter(cm)
-	}
-	next[key] = l
-	s.cur.Store(&next)
+	l, _ := s.keys.getOrInstallLocked(key, h, m.policy, m.meter)
+	s.mu.Unlock()
 	return l
 }
 
@@ -157,7 +116,10 @@ func (m *LockMap[K]) Lock(tx *stm.Tx, key K) {
 func (m *LockMap[K]) Len() int {
 	n := 0
 	for i := range m.stripes {
-		n += len(*m.stripes[i].cur.Load())
+		s := &m.stripes[i]
+		s.mu.Lock()
+		n += s.keys.n
+		s.mu.Unlock()
 	}
 	return n
 }

@@ -8,9 +8,9 @@ import (
 	"tboost/internal/stm"
 )
 
-// The copy-on-write LockMap must keep putIfAbsent semantics under racing
-// installs: every goroutine asking for a key gets the same lock instance,
-// with reads never blocking on the stripe mutex.
+// LockMap must keep putIfAbsent semantics under racing installs: every
+// goroutine asking for a key gets the same lock instance, with reads never
+// blocking on the stripe mutex.
 
 func TestLockMapConcurrentInstallSameLock(t *testing.T) {
 	m := NewLockMapStripes[int64](4) // few stripes: force install races
@@ -43,26 +43,13 @@ func TestLockMapConcurrentInstallSameLock(t *testing.T) {
 }
 
 func TestLockMapGetStableAcrossLaterInstalls(t *testing.T) {
-	m := NewLockMapStripes[int64](1) // one stripe: every install rewrites it
+	m := NewLockMapStripes[int64](1) // one stripe: the installs double its table
 	first := m.Get(1)
 	for k := int64(2); k < 100; k++ {
 		m.Get(k)
 	}
 	if m.Get(1) != first {
 		t.Fatal("install of other keys replaced an existing lock")
-	}
-}
-
-func TestLockMapLegacyReadsSameSemantics(t *testing.T) {
-	SetLegacyMapReads(true)
-	defer SetLegacyMapReads(false)
-	m := NewLockMap[string]()
-	a := m.Get("a")
-	if m.Get("a") != a {
-		t.Fatal("legacy read path returned a different lock")
-	}
-	if m.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", m.Len())
 	}
 }
 

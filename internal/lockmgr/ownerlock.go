@@ -95,7 +95,16 @@ func NewOwnerLock() *OwnerLock {
 // contention policy that overrides the system-wide choice (pass Timeout,
 // WoundWait, or a NewDetect instance). A nil policy is NewOwnerLock.
 func NewOwnerLockPolicy(p ContentionPolicy) *OwnerLock {
-	return &OwnerLock{mu: chanMutex{ch: make(chan struct{}, 1)}, policy: p}
+	l := new(OwnerLock)
+	l.init(p)
+	return l
+}
+
+// init readies a zero OwnerLock in place (lock tables embed locks in their
+// nodes rather than allocating them separately).
+func (l *OwnerLock) init(p ContentionPolicy) {
+	l.mu.ch = make(chan struct{}, 1)
+	l.policy = p
 }
 
 // SetMeter attaches a contention meter to the lock. Configuration-time only

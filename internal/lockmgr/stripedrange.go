@@ -2,6 +2,7 @@ package lockmgr
 
 import (
 	"cmp"
+	"hash/maphash"
 	"math"
 	"runtime"
 	"sync"
@@ -17,9 +18,9 @@ const DefaultRangeStripes = 32
 
 // legacyRangeLocks routes boost.NewRanged back onto the single-mutex
 // RangeLock so the benchmark harness can measure the pre-PR manager against
-// the striped one in a single run (the rangemix experiment). Like
-// SetLegacyMapReads, it selects a construction-time implementation and is
-// not meant to be flipped while transactions are running.
+// the striped one in a single run (the rangemix experiment). It selects a
+// construction-time implementation and is not meant to be flipped while
+// transactions are running.
 var legacyRangeLocks atomic.Bool
 
 // SetLegacyRangeLocks toggles the benchmark-only single-mutex interval lock
@@ -38,8 +39,8 @@ var rangeTimerArms atomic.Uint64
 // StripedRangeLock is the stripe-partitioned interval lock manager: the
 // ordered key space is cut into blocks by a Partition and blocks are dealt
 // cyclically across S power-of-two stripes. A point demand [k, k] touches
-// exactly one stripe — a lock-free snapshot read of the stripe's key→lock
-// map (copy-on-write install on first touch, mirroring LockMap) followed by
+// exactly one stripe — a lock-free probe of the stripe's key→lock
+// table (installed in place on first touch, like LockMap) followed by
 // an OwnerLock acquisition — while a range demand locks its covering
 // stripes' mutexes in canonical ascending index order, decides the grant
 // atomically against granted intervals and point owners, and registers the
@@ -57,6 +58,7 @@ var rangeTimerArms atomic.Uint64
 // deadlock, and cycles among granted two-phase holdings are broken by timed
 // acquisition.
 type StripedRangeLock[K cmp.Ordered] struct {
+	seed       maphash.Seed // point-key table hashing
 	rank       func(K) uint64
 	shift      uint
 	mask       uint64
@@ -72,9 +74,9 @@ type StripedRangeLock[K cmp.Ordered] struct {
 
 // rangeStripe holds one segment of the partitioned key space.
 type rangeStripe[K cmp.Ordered] struct {
-	// keys is the stripe's immutable key→lock snapshot, read lock-free on
-	// the point fast path and swapped copy-on-write under mu on install.
-	keys atomic.Pointer[map[K]*OwnerLock]
+	// keys is the stripe's key→lock table (see keyTable), read lock-free on
+	// the point fast path and filled in place under mu on install.
+	keys keyTable[K]
 	// rmark counts granted intervals registered in this stripe plus range
 	// grants currently being decided here. A point acquisition that reads
 	// rmark == 0 after taking its key lock is granted without touching mu:
@@ -201,6 +203,7 @@ func NewStripedRangeLockConfig[K cmp.Ordered](stripes int, p Partition[K]) *Stri
 		n <<= 1
 	}
 	t := &StripedRangeLock[K]{
+		seed:       maphash.MakeSeed(),
 		rank:       p.Rank,
 		shift:      p.BlockShift,
 		mask:       uint64(n - 1),
@@ -210,9 +213,9 @@ func NewStripedRangeLockConfig[K cmp.Ordered](stripes int, p Partition[K]) *Stri
 	if n == 1 {
 		t.escalateAt = math.MaxUint64
 	}
-	empty := make(map[K]*OwnerLock)
+	empty := newEmptyKeySlots[K]()
 	for i := range t.stripes {
-		t.stripes[i].keys.Store(&empty) // shared: snapshots are never mutated
+		t.stripes[i].keys.cur.Store(empty) // shared until the stripe's first install
 	}
 	t.hpool.New = func() any { return &rangeHoldings[K]{} }
 	t.spool.New = func() any { b := make([]int32, 0, n); return &b }
@@ -282,31 +285,24 @@ func (t *StripedRangeLock[K]) holdings(tx *stm.Tx) *rangeHoldings[K] {
 	}
 }
 
-// keyLock returns the OwnerLock for k in stripe s, installing it
-// copy-on-write on first touch (LockMap's putIfAbsent discipline). The hit
-// path takes no locks.
+// keyLock returns the OwnerLock for k in stripe s, installing it on first
+// touch (LockMap's putIfAbsent discipline). The hit path takes no locks.
 func (t *StripedRangeLock[K]) keyLock(s *rangeStripe[K], k K) *OwnerLock {
-	if l, ok := (*s.keys.Load())[k]; ok {
+	h := maphash.Comparable(t.seed, k)
+	if l := s.keys.get(k, h); l != nil {
 		return l
 	}
-	return installStripeKey(s, k)
+	return installStripeKey(s, k, h)
 }
 
-func installStripeKey[K cmp.Ordered](s *rangeStripe[K], k K) *OwnerLock {
+func installStripeKey[K cmp.Ordered](s *rangeStripe[K], k K, h uint64) *OwnerLock {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	old := *s.keys.Load()
-	if l, ok := old[k]; ok {
+	l, fresh := s.keys.getOrInstallLocked(k, h, nil, nil)
+	if !fresh {
 		return l
 	}
-	next := make(map[K]*OwnerLock, len(old)+1)
-	for k2, v := range old {
-		next[k2] = v
-	}
-	l := NewOwnerLock()
-	next[k] = l
-	s.keys.Store(&next)
-	// Keep the sorted index range scans use in step with the snapshot.
+	// Keep the sorted index range scans use in step with the table.
 	lo, hi := 0, len(s.entries)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -701,7 +697,10 @@ func (t *StripedRangeLock[K]) Stripes() int { return len(t.stripes) }
 func (t *StripedRangeLock[K]) KeyLocks() int {
 	n := 0
 	for i := range t.stripes {
-		n += len(*t.stripes[i].keys.Load())
+		s := &t.stripes[i]
+		s.mu.Lock()
+		n += s.keys.n
+		s.mu.Unlock()
 	}
 	return n
 }
